@@ -44,10 +44,10 @@ PodId Platform::create_pod(const GwPodConfig& pod_cfg,
       });
   pod->set_egress([this, id](PacketPtr pkt, NanoTime submit) {
     const NanoTime at_fpga = nic_.tx_submit(id, submit, pkt->size());
-    Packet* p = pkt.release();
-    loop_.schedule_at(at_fpga, [this, id, p, at_fpga] {
+    loop_.schedule_at(at_fpga, [this, id, p = std::move(pkt),
+                                at_fpga]() mutable {
       egress_scratch_.clear();
-      nic_.egress_into(PacketPtr(p), id, at_fpga, egress_scratch_);
+      nic_.egress_into(std::move(p), id, at_fpga, egress_scratch_);
       handle_emissions(egress_scratch_, id);
       arm_reorder_timer(id);
     });
@@ -174,11 +174,10 @@ void Platform::finish_ingress(IngressResult r, PodId pod) {
   }
   arm_reorder_timer(pod);
 
-  Packet* raw = r.pkt.release();
   const std::uint16_t q = r.rx_queue;
   const NanoTime at = r.deliver_time;
-  loop_.schedule_at(at, [this, raw, pod, q, at] {
-    pods_[pod]->deliver(PacketPtr(raw), q, at);
+  loop_.schedule_at(at, [this, p = std::move(r.pkt), pod, q, at]() mutable {
+    pods_[pod]->deliver(std::move(p), q, at);
   });
 }
 
@@ -253,11 +252,7 @@ void Platform::arm_reorder_timer(PodId pod) {
   }
   armed_deadline_[pod] = *deadline;
   const NanoTime at = *deadline + Nanos{1};  // strictly past the timeout
-  loop_.schedule_at(at, [this, pod, at] {
-    if (armed_deadline_[pod] == NanoTime{} || armed_deadline_[pod] + Nanos{1} != at) {
-      // Superseded by an earlier timer; the structure re-arms below
-      // regardless, so stale timers are cheap no-ops.
-    }
+  loop_.schedule_at(at, [this, pod] {
     armed_deadline_[pod] = NanoTime{};
     egress_scratch_.clear();
     nic_.drain_expired_into(pod, loop_.now(), egress_scratch_);

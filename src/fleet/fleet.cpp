@@ -1,7 +1,9 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
+#include <thread>
 
 #include "common/hash.hpp"
 #include "container/cost_model.hpp"
@@ -174,15 +176,44 @@ void FleetEngine::apply_diurnal(AzRuntime& az, NanoTime t) {
 }
 
 void FleetEngine::run() {
-  // Lockstep diurnal slices. AZs exchange no traffic, so advancing them
-  // one after another inside each slice preserves determinism while
-  // keeping all AZ clocks within one tick of each other.
-  for (NanoTime t = NanoTime{0}; t < spec_.horizon; t += spec_.tick) {
-    const NanoTime slice_end = std::min(t + spec_.tick, spec_.horizon);
-    for (auto& az : azs_) {
-      apply_diurnal(az, t);
-      az.harness->platform().run_until(slice_end);
+  // One worker per hardware thread, at most one per AZ; the calling
+  // thread is worker 0. AZ i always runs on worker i % W, and a worker
+  // runs its AZs in index order. AZs exchange no traffic and each owns
+  // its harness, event loop and upgrade records, so the result of every
+  // AZ — and so every report collect() builds in AZ-index order after
+  // the join — does not depend on the thread count or the interleaving.
+  const std::size_t n = azs_.size();
+  const std::size_t workers = std::min<std::size_t>(
+      n, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::exception_ptr> errors(n);
+  const auto work = [&](std::size_t w) {
+    for (std::size_t i = w; i < n; i += workers) {
+      try {
+        run_az(azs_[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
+  };
+  {
+    // jthread joins on scope exit, also when starting a later worker
+    // throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(work, w);
+    work(0);
+  }
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  ran_ = true;
+}
+
+void FleetEngine::run_az(AzRuntime& az) {
+  // Diurnal slices: source rates are re-set at every tick boundary.
+  for (NanoTime t = NanoTime{0}; t < spec_.horizon; t += spec_.tick) {
+    apply_diurnal(az, t);
+    az.harness->platform().run_until(std::min(t + spec_.tick, spec_.horizon));
   }
 
   // Drain: quiesce every source (rate 0 parks the pump permanently —
@@ -190,14 +221,10 @@ void FleetEngine::run() {
   // so the conservation ledger balances. BFD timers keep the loop
   // pending forever, hence check_ledger_now instead of finish()'s
   // quiesce-gated path.
-  const NanoTime drain_end = spec_.horizon + spec_.drain;
-  for (auto& az : azs_) {
-    for (auto* src : az.sources) src->set_rate(0.0);
-    az.harness->platform().run_until(drain_end);
-    az.conformance->finish();  // reorder-leak checks (ledger skipped)
-    az.ledger_violations = az.conformance->check_ledger_now();
-  }
-  ran_ = true;
+  for (auto* src : az.sources) src->set_rate(0.0);
+  az.harness->platform().run_until(spec_.horizon + spec_.drain);
+  az.conformance->finish();  // reorder-leak checks (ledger skipped)
+  az.ledger_violations = az.conformance->check_ledger_now();
 }
 
 FleetResult FleetEngine::collect() const {

@@ -6,9 +6,10 @@
 //
 //  - a TenantPopulation hash-shards millions of Zipf-weighted tenants
 //    across every gateway, sizing each pod's offered rate and flow mix;
-//  - a DiurnalCurve modulates per-AZ load in lockstep slices (AZs are
-//    traffic-independent, so running them slice-by-slice in AZ order is
-//    deterministic and byte-identical across same-seed runs);
+//  - a DiurnalCurve modulates per-AZ load in diurnal slices; AZs are
+//    traffic-independent, so each AZ runs its whole scenario on its own
+//    worker thread and the reports, merged in AZ-index order after the
+//    join, are byte-identical across same-seed runs and thread counts;
 //  - a rolling upgrade wave redeploys gateways through the
 //    orchestrator's make-before-break scale_up path — a healthy wave
 //    must cost zero blackhole, and the SLO report proves it;
@@ -87,8 +88,11 @@ class FleetEngine {
   FleetEngine(const FleetEngine&) = delete;
   FleetEngine& operator=(const FleetEngine&) = delete;
 
-  /// Executes the scenario: lockstep diurnal slices over `horizon`,
-  /// then a source-quiesced drain window and the conservation ledger.
+  /// Executes the scenario. Every AZ runs on a worker thread (AZ i on
+  /// worker i % W, W = min(AZs, hardware threads), the caller being
+  /// worker 0): diurnal slices over `horizon`, then a source-quiesced
+  /// drain window and the conservation ledger. Rethrows the exception of
+  /// the lowest-index AZ that failed, after every worker has finished.
   void run();
 
   /// Aggregates per-AZ results and builds the SLO report. Valid after
@@ -124,6 +128,9 @@ class FleetEngine {
   };
 
   void build_az(std::size_t i);
+  /// One AZ's whole run: slices, drain and ledger. Touches only `az`,
+  /// its own upgrade records and the read-only spec and population.
+  void run_az(AzRuntime& az);
   void schedule_faults();
   void schedule_upgrades();
   void apply_diurnal(AzRuntime& az, NanoTime t);

@@ -83,7 +83,7 @@ struct FleetSpec {
   std::string name = "fleet";
   std::uint64_t seed = 1;
   NanoTime horizon = 30 * kSecond;
-  /// Lockstep diurnal slice: source rates are re-set every tick.
+  /// Diurnal slice: each AZ re-sets its source rates every tick.
   NanoTime tick = 250 * kMillisecond;
   /// Post-horizon drain window (sources quiesced) so the packet-
   /// conservation ledger can run over a settled data plane.

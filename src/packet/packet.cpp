@@ -12,7 +12,9 @@ namespace {
 // Size-classed freelists for PacketBuf. Classes are powers of two from
 // 256 B up to 16 KiB (>= kHeadroom + kMaxFrame + tailroom); anything
 // larger falls back to plain new[]/delete[]. thread_local keeps the pool
-// lock-free; the simulator itself is single-threaded.
+// lock-free: each event loop runs on one thread, and the fleet engine's
+// per-AZ worker threads each recycle through their own pool. A buffer
+// freed on another thread simply joins that thread's pool.
 constexpr std::size_t kMinClassShift = 8;   // 256 B
 constexpr std::size_t kMaxClassShift = 14;  // 16 KiB
 constexpr std::size_t kNumClasses = kMaxClassShift - kMinClassShift + 1;
@@ -28,7 +30,8 @@ struct BufPool {
 };
 
 BufPool& buf_pool() {
-  static thread_local BufPool pool;
+  // Per-thread by design: each fleet worker recycles its own buffers.
+  static thread_local BufPool pool;  // lint:allow(mutable-static)
   return pool;
 }
 

@@ -1,16 +1,19 @@
 // Fleet engine tests: scenario spec round-trip, diurnal curve math,
 // million-tenant population sharding, the LogHistogram / weighted-
 // quantile percentile edges the SLO report depends on, fault scoping,
-// and the end-to-end smoke scenario (determinism, conservation, the
-// failover envelope and the zero-blackhole upgrade wave).
+// the end-to-end smoke scenario (determinism, conservation, the
+// failover envelope and the zero-blackhole upgrade wave), and golden
+// outputs that pin the parallel engine to the serial one.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.hpp"
 #include "check/testseed.hpp"
+#include "common/hash.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "fleet/fleet.hpp"
@@ -455,6 +458,46 @@ TEST(FleetEngine, MetricsRegistryExportsFleetAggregates) {
   EXPECT_NE(text.find("fleet_packets_lost"), std::string::npos);
   EXPECT_NE(text.find("az-a"), std::string::npos);
   EXPECT_NE(text.find("az-b"), std::string::npos);
+}
+
+// --- golden outputs -----------------------------------------------------
+//
+// Pinned from the engine when it still ran every AZ serially on one
+// thread. The parallel engine must reproduce them byte for byte at any
+// thread count; a deliberate change to fleet output updates them here.
+
+std::uint64_t fnv(const std::string& s) {
+  return fnv1a64(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+}
+
+void expect_golden(const fleet::FleetSpec& spec, std::uint64_t report_fnv,
+                   std::uint64_t slo_fnv, std::uint64_t events) {
+  const fleet::FleetResult r = fleet::run_fleet(spec);
+  EXPECT_EQ(fnv(r.report_text()), report_fnv);
+  EXPECT_EQ(fnv(r.slo.to_json().dump()), slo_fnv);
+  EXPECT_EQ(r.events_total, events);
+  EXPECT_EQ(r.conformance_violations, 0u);
+}
+
+TEST(FleetGolden, SmokeMatchesSerialRecording) {
+  expect_golden(fleet::FleetSpec::smoke(), 0x176f7d26e26fa306ull,
+                0x134012c230616418ull, 783'418u);
+}
+
+TEST(FleetGolden, FiveAzsMatchSerialRecording) {
+  // More AZs than a 4-thread runner has hardware threads, so some
+  // workers run several AZs (AZ i on worker i % W).
+  fleet::FleetSpec spec = fleet::FleetSpec::smoke();
+  const char* const names[] = {"az-c", "az-d", "az-e"};
+  for (int k = 0; k < 3; ++k) {
+    fleet::FleetAzSpec az = spec.azs[0];
+    az.name = names[k];
+    az.diurnal_phase = (k + 1) * 500 * kMillisecond;
+    spec.azs.push_back(az);
+  }
+  expect_golden(spec, 0xaefa08b098ac29e8ull, 0xe4da0d1415beac20ull,
+                857'241u);
 }
 
 // --- shrunk-trace replay bridge ------------------------------------------

@@ -24,8 +24,18 @@ bool fired(const std::vector<Finding>& findings, const std::string& rule) {
   return std::find(rules.begin(), rules.end(), rule) != rules.end();
 }
 
+/// The single-rule snippets below keep their state at namespace scope
+/// for brevity, which mutable-static would flag; that rule has its own
+/// cases further down.
+std::vector<Finding> lint_snippet(std::string_view path,
+                                  std::string_view text,
+                                  Config config = {}) {
+  config.allow.push_back({"mutable-static", ""});
+  return lint_source(path, text, config);
+}
+
 TEST(Lint, WallClockCallFires) {
-  const auto f = lint_source("src/sim/event_loop.cpp",
+  const auto f = lint_snippet("src/sim/event_loop.cpp",
                              "#include <chrono>\n"
                              "auto t = std::chrono::system_clock::now();\n"
                              "long e = time(nullptr);\n"
@@ -37,14 +47,14 @@ TEST(Lint, WallClockCallFires) {
 
 TEST(Lint, WallClockIgnoresSuffixedIdentifiers) {
   // run_time(...) / head_deadline(...) are not wall-clock reads.
-  const auto f = lint_source("src/sim/event_loop.cpp",
+  const auto f = lint_snippet("src/sim/event_loop.cpp",
                              "auto a = run_time(x);\n"
                              "auto b = q.head_deadline();\n");
   EXPECT_TRUE(f.empty());
 }
 
 TEST(Lint, NondeterministicRngFires) {
-  const auto f = lint_source("src/traffic/flow_gen.cpp",
+  const auto f = lint_snippet("src/traffic/flow_gen.cpp",
                              "#include <random>\n"
                              "std::random_device rd;\n"
                              "std::mt19937 gen(rd());\n"
@@ -55,7 +65,7 @@ TEST(Lint, NondeterministicRngFires) {
 
 TEST(Lint, RngAllowedInCommonRng) {
   // The seeded PRNG implementation itself is the one legal home.
-  const auto f = lint_source("src/common/rng.hpp",
+  const auto f = lint_snippet("src/common/rng.hpp",
                              "#pragma once\n"
                              "std::mt19937_64 engine_;\n");
   EXPECT_TRUE(f.empty());
@@ -68,11 +78,11 @@ TEST(Lint, UnorderedIterationInDispatchLoopFires) {
       "void flush() {\n"
       "  for (const auto& [k, v] : flows_) { emit(v); }\n"
       "}\n";
-  const auto f = lint_source("src/nic/plb_dispatch.cpp", bad);
+  const auto f = lint_snippet("src/nic/plb_dispatch.cpp", bad);
   ASSERT_TRUE(fired(f, "unordered-iteration"));
   EXPECT_EQ(f[0].line, 4);
   // Same code outside the determinism scope is not in jurisdiction.
-  EXPECT_TRUE(lint_source("src/traffic/flow_gen.cpp", bad).empty());
+  EXPECT_TRUE(lint_snippet("src/traffic/flow_gen.cpp", bad).empty());
 }
 
 TEST(Lint, UnorderedIteratorLoopFires) {
@@ -88,7 +98,7 @@ TEST(Lint, UnorderedIteratorLoopFires) {
 }
 
 TEST(Lint, OrderedIterationIsClean) {
-  const auto f = lint_source("src/nic/plb_dispatch.cpp",
+  const auto f = lint_snippet("src/nic/plb_dispatch.cpp",
                              "#include <map>\n"
                              "std::map<int, int> flows_;\n"
                              "void flush() {\n"
@@ -98,7 +108,7 @@ TEST(Lint, OrderedIterationIsClean) {
 }
 
 TEST(Lint, NakedTimeLiteralFires) {
-  const auto f = lint_source(
+  const auto f = lint_snippet(
       "src/sim/event_loop.cpp",
       "NanoTime deadline = now + budget_ms * 1'000'000;\n"
       "const auto slack = NanoTime{5'000'000};\n");
@@ -107,7 +117,7 @@ TEST(Lint, NakedTimeLiteralFires) {
 }
 
 TEST(Lint, NamedUnitConstantsAreClean) {
-  const auto f = lint_source(
+  const auto f = lint_snippet(
       "src/sim/event_loop.cpp",
       "NanoTime deadline = now + 100 * kMicrosecond;\n"
       "const auto gap = nanos_from_double(1e9 / pps);\n"
@@ -194,7 +204,7 @@ TEST(Lint, ProseDoesNotFire) {
 }
 
 TEST(Lint, InlineAllowSuppresses) {
-  const auto f = lint_source(
+  const auto f = lint_snippet(
       "src/check/probe.cpp",
       "std::unordered_map<int, int> q_;\n"
       "void collect() {\n"
@@ -212,9 +222,9 @@ TEST(Lint, AllowlistFileSuppressesByPath) {
       "* vendored/\n");
   ASSERT_EQ(config.allow.size(), 2u);
   const std::string bad = "auto t = std::chrono::system_clock::now();\n";
-  EXPECT_TRUE(lint_source("src/sim/legacy_timer.cpp", bad, config).empty());
-  EXPECT_TRUE(lint_source("third_party/vendored/x.cpp", bad, config).empty());
-  EXPECT_FALSE(lint_source("src/sim/event_loop.cpp", bad, config).empty());
+  EXPECT_TRUE(lint_snippet("src/sim/legacy_timer.cpp", bad, config).empty());
+  EXPECT_TRUE(lint_snippet("third_party/vendored/x.cpp", bad, config).empty());
+  EXPECT_FALSE(lint_snippet("src/sim/event_loop.cpp", bad, config).empty());
 }
 
 TEST(Lint, CleanFixtureIsClean) {
@@ -241,15 +251,81 @@ TEST(Lint, UnorderedIterationCoversDpuAndFleet) {
                     "unordered-iteration"));
 }
 
+TEST(Lint, MutableStaticFiresOnSharedState) {
+  const auto f = lint_source(
+      "src/fleet/engine.cpp",
+      "std::uint64_t g_seen = 0;\n"
+      "namespace {\n"
+      "std::vector<int> scratch{1, 2};\n"
+      "thread_local int last_core;\n"
+      "}  // namespace\n"
+      "struct Registry {\n"
+      " public:\n"
+      "  static int instances;\n"
+      "};\n"
+      "int next_id() {\n"
+      "  if (true) {\n"
+      "    static int counter = 0;\n"
+      "    return ++counter;\n"
+      "  }\n"
+      "  return 0;\n"
+      "}\n");
+  std::vector<int> lines;
+  for (const auto& finding : f) {
+    EXPECT_EQ(finding.rule, "mutable-static");
+    lines.push_back(finding.line);
+  }
+  EXPECT_EQ(lines, (std::vector<int>{1, 3, 4, 8, 12}));
+}
+
+TEST(Lint, MutableStaticAllowsConstantsFunctionsAndCasts) {
+  const auto f = lint_source(
+      "src/common/table.cpp",
+      "#include <array>\n"
+      "#define LIMIT(x) { static int y = x; }\n"
+      "constexpr int kSlots = 64;\n"
+      "const std::array<int, 2> kBias = {0, 1};\n"
+      "extern int g_declared_elsewhere;\n"
+      "int helper(int v);\n"
+      "static int helper2(int v) { return v; }\n"
+      "struct Counter {\n"
+      "  static constexpr int kMax = 8;\n"
+      "  static Counter make(int start);\n"
+      "  static bool valid(int v) { return v < kMax; }\n"
+      "  int value{0};\n"
+      "  Counter& operator=(const Counter&) = default;\n"
+      "};\n"
+      "static_assert(kSlots == 64);\n"
+      "Counter::Counter(int v) : value{v} {\n"
+      "  static const int kOnce = 1;\n"
+      "  value = static_cast<int>(v) + kOnce;\n"
+      "}\n");
+  EXPECT_TRUE(f.empty()) << f.front().line << ": " << f.front().message;
+}
+
+TEST(Lint, MutableStaticScopedToSrcAndSuppressible) {
+  const std::string bad = "int g_counter = 0;\n";
+  EXPECT_TRUE(fired(lint_source("src/sim/event_loop.cpp", bad),
+                    "mutable-static"));
+  EXPECT_TRUE(lint_source("tools/albatross_sim.cpp", bad).empty());
+  EXPECT_TRUE(lint_source("tests/test_fleet.cpp", bad).empty());
+  EXPECT_TRUE(lint_source("src/packet/packet.cpp",
+                          "thread_local int pool;  "
+                          "// lint:allow(mutable-static)\n")
+                  .empty());
+}
+
 TEST(Lint, RuleNamesStable) {
   const auto& names = rule_names();
-  EXPECT_EQ(names.size(), 10u);
+  EXPECT_EQ(names.size(), 11u);
   EXPECT_TRUE(std::find(names.begin(), names.end(), "scalar-hot-path") !=
               names.end());
   EXPECT_TRUE(std::find(names.begin(), names.end(), "wall-clock") !=
               names.end());
   EXPECT_TRUE(std::find(names.begin(), names.end(),
                         "fpga-budget-overflow") != names.end());
+  EXPECT_TRUE(std::find(names.begin(), names.end(), "mutable-static") !=
+              names.end());
 }
 
 // ---- Synthesis-feasibility (fpga-*) rules ------------------------------

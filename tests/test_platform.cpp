@@ -49,6 +49,19 @@ TEST(Platform, EndToEndDeliveryInOrder) {
   EXPECT_LT(t.wire_latency.quantile(0.999), 100'000u);
 }
 
+TEST(Platform, MidRunTeardownFreesInFlightPackets) {
+  // Overload a 2-core pod and stop after 1 ms: pending delivery and TX
+  // events still own packets when the platform is destroyed. Under
+  // LeakSanitizer this run must be leak-clean.
+  auto s = SinglePodScenario::make(ServiceKind::kVpcVpc, 2, LbMode::kPlb);
+  s.platform->attach_source(background(4e6), s.pod);
+  s.platform->run_until(kMillisecond);
+  const auto& t = s.platform->telemetry(s.pod);
+  EXPECT_GT(t.offered, t.delivered);
+  EXPECT_GT(s.platform->loop().pending(), 0u);
+  s.platform.reset();
+}
+
 TEST(Platform, RssModeAlsoDelivers) {
   auto s = SinglePodScenario::make(ServiceKind::kVpcVpc, 8, LbMode::kRss);
   s.platform->enable_order_oracle(true);

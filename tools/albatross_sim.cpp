@@ -27,7 +27,10 @@
 //                  A fuzz-trace JSON, detected by its "ops" array,
 //                  replays through the conformance driver instead, so
 //                  shrunk reproducers run via --scenario directly.)
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -77,6 +80,44 @@ struct Options {
   std::exit(2);
 }
 
+// Numeric flag values must parse completely and land in range; anything
+// else names the flag and exits 2 instead of running a broken or empty
+// experiment.
+[[noreturn]] void bad_flag(const std::string& flag, const char* value,
+                           const char* expected) {
+  std::fprintf(stderr, "error: %s %s: expected %s\n", flag.c_str(), value,
+               expected);
+  std::exit(2);
+}
+
+long long int_flag(const std::string& flag, const char* value, long long lo,
+                   long long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    const std::string want = "an integer in [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "]";
+    bad_flag(flag, value, want.c_str());
+  }
+  return v;
+}
+
+/// `min_exclusive` makes the lower bound open (rates must be > 0).
+double real_flag(const std::string& flag, const char* value, double lo,
+                 bool min_exclusive, double hi) {
+  char* end = nullptr;
+  const double v = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !std::isfinite(v) ||
+      (min_exclusive ? v <= lo : v < lo) || v > hi) {
+    char want[64];
+    std::snprintf(want, sizeof(want), "a number in %c%g, %g]",
+                  min_exclusive ? '(' : '[', lo, hi);
+    bad_flag(flag, value, want);
+  }
+  return v;
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -92,22 +133,22 @@ bool parse_args(int argc, char** argv, Options& opt) {
       else if (v == "cloud") opt.service = ServiceKind::kVpcCloudService;
       else return false;
     } else if (a == "--cores") {
-      opt.cores = static_cast<std::uint16_t>(std::atoi(next()));
+      opt.cores = static_cast<std::uint16_t>(int_flag(a, next(), 1, 256));
     } else if (a == "--mode") {
       const std::string v = next();
       if (v == "plb") opt.mode = LbMode::kPlb;
       else if (v == "rss") opt.mode = LbMode::kRss;
       else return false;
     } else if (a == "--rate-mpps") {
-      opt.rate_mpps = std::atof(next());
+      opt.rate_mpps = real_flag(a, next(), 0.0, true, 1000.0);
     } else if (a == "--flows") {
-      opt.flows = static_cast<std::size_t>(std::atoll(next()));
+      opt.flows = static_cast<std::size_t>(int_flag(a, next(), 1, 10'000'000));
     } else if (a == "--duration-ms") {
-      opt.duration = std::atoll(next()) * kMillisecond;
+      opt.duration = int_flag(a, next(), 1, 86'400'000) * kMillisecond;
     } else if (a == "--hitter-mpps") {
-      opt.hitter_mpps = std::atof(next());
+      opt.hitter_mpps = real_flag(a, next(), 0.0, false, 1000.0);
     } else if (a == "--drop-flag") {
-      opt.drop_flag = std::atoi(next()) != 0;
+      opt.drop_flag = int_flag(a, next(), 0, 1) != 0;
     } else if (a == "--offload") {
       opt.offload = true;
     } else if (a == "--metrics") {

@@ -366,6 +366,204 @@ void rule_header_hygiene(const RuleContext& ctx, Sink& sink) {
   }
 }
 
+// --- mutable-static --------------------------------------------------------
+//
+// Fleet AZs run on concurrent worker threads and share only read-only
+// state, so src/ holds no mutable state outside objects: no mutable
+// namespace-scope variables and no mutable `static` / `thread_local`
+// locals or data members. const/constexpr objects, functions (static
+// member functions included), static_cast and static_assert are fine.
+// A scope scanner classifies each `{` by the statement in front of it
+// and checks every `;`-terminated statement against its enclosing
+// scope. Heuristic limits: a namespace-scope variable initialised with
+// parentheses reads as a function declaration, and lambdas inside
+// initialisers are not scanned.
+
+enum class Brace { kNamespace, kClass, kBlock, kEnum, kInit };
+
+const std::regex& static_word_re() {
+  static const std::regex re(R"(\b(static|thread_local)\b)");
+  return re;
+}
+
+/// Drops attributes and alignas() so the statement starts at its first
+/// declaration keyword or type.
+std::string trim_statement(const std::string& s) {
+  static const std::regex noise_re(
+      R"(\[\[[^\]]*\]\]|\balignas\s*\([^)]*\))");
+  const std::string t = std::regex_replace(s, noise_re, " ");
+  const auto b = t.find_first_not_of(" \t");
+  if (b == std::string::npos) return {};
+  return t.substr(b, t.find_last_not_of(" \t") - b + 1);
+}
+
+/// Strips a leading `template <...>` parameter list (balanced angles).
+std::string strip_template_prefix(const std::string& s) {
+  if (!s.starts_with("template")) return s;
+  int depth = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == '<') ++depth;
+    if (s[i] == '>' && --depth == 0) return trim_statement(s.substr(i + 1));
+  }
+  return s;
+}
+
+/// True when `s` holds an initialiser `=` outside parentheses, not one
+/// of ==, !=, <=, >=, a compound assignment or an operator= name.
+bool has_initialiser(const std::string& s) {
+  static const std::regex operator_re(R"(\boperator\s*$)");
+  int depth = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == '(' || s[i] == '[') ++depth;
+    if (s[i] == ')' || s[i] == ']') --depth;
+    if (s[i] != '=' || depth != 0) continue;
+    const char prev = i > 0 ? s[i - 1] : ' ';
+    const char next = i + 1 < s.size() ? s[i + 1] : ' ';
+    if (next == '=' || contains("=!<>+-*/%&|^", std::string_view(&prev, 1)) ||
+        std::regex_search(s.substr(0, i), operator_re)) {
+      continue;
+    }
+    return true;
+  }
+  return false;
+}
+
+/// What a `{` opens, given the statement in front of it and the scope
+/// it appears in.
+Brace classify_brace(const std::string& head_text, Brace outer) {
+  const std::string head = trim_statement(head_text);
+  if (outer == Brace::kBlock || outer == Brace::kEnum) {
+    // Inside a function only a static's brace initialiser matters.
+    return std::regex_search(head, static_word_re()) ? Brace::kInit
+                                                     : Brace::kBlock;
+  }
+  static const std::regex ns_re(R"(^(inline\s+)?namespace\b|^extern\s*")");
+  static const std::regex class_re(R"(^(class|struct|union)\b)");
+  static const std::regex enum_re(R"(^enum\b)");
+  static const std::regex ctor_init_re(R"(\)\s*(noexcept\s*)?:[^:])");
+  if (std::regex_search(head, ns_re)) return Brace::kNamespace;
+  const std::string decl = strip_template_prefix(head);
+  if (std::regex_search(decl, class_re)) return Brace::kClass;
+  if (std::regex_search(decl, enum_re)) return Brace::kEnum;
+  if (has_initialiser(decl)) return Brace::kInit;  // `= {...}`, lambdas
+  if (std::regex_search(decl, ctor_init_re)) {
+    // Constructor: member brace-initialisers until the body's brace.
+    return decl.ends_with(")") || decl.ends_with("}") ? Brace::kBlock
+                                                      : Brace::kInit;
+  }
+  return decl.find('(') != std::string::npos ? Brace::kBlock : Brace::kInit;
+}
+
+/// True when the `;`-terminated statement declares mutable state that
+/// outlives a call (see the rule comment above).
+bool mutable_state_decl(const std::string& text, Brace scope) {
+  static const std::regex const_re(R"(\b(const|constexpr)\b)");
+  static const std::regex member_skip_re(R"(^(friend|using)\b)");
+  static const std::regex ns_skip_re(
+      R"(^(using|typedef|template|extern|friend|namespace|class|struct|union|enum|static_assert|asm)\b)");
+  const std::string stmt = trim_statement(text);
+  if (stmt.empty() || std::regex_search(stmt, const_re)) return false;
+  switch (scope) {
+    case Brace::kBlock:
+      return std::regex_search(stmt, static_word_re());
+    case Brace::kClass:
+      // A `(` marks a member function; data members initialise with
+      // `=` or braces.
+      return std::regex_search(stmt, static_word_re()) &&
+             stmt.find('(') == std::string::npos &&
+             !std::regex_search(stmt, member_skip_re);
+    case Brace::kNamespace: {
+      if (std::regex_search(stmt, ns_skip_re)) return false;
+      // A `(` before any initialiser is a function declaration.
+      const auto paren = stmt.find('(');
+      const auto assign = stmt.find('=');
+      return paren == std::string::npos ||
+             (assign != std::string::npos && assign < paren);
+    }
+    case Brace::kEnum:
+    case Brace::kInit:
+      return false;
+  }
+  return false;
+}
+
+void rule_mutable_static(const RuleContext& ctx, Sink& sink) {
+  if (!contains(ctx.path, "src/")) return;
+  const std::string& text = ctx.stripped;
+  std::vector<Brace> scopes{Brace::kNamespace};
+  std::string stmt;
+  int stmt_line = 0;
+  int line = 1;
+  int paren = 0;
+  int skip = 0;  ///< nesting depth inside a brace initialiser
+  bool line_start = true;
+  bool directive = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '\n') {
+      // A preprocessor directive ends at an unescaped newline.
+      if (directive && (i == 0 || text[i - 1] != '\\')) directive = false;
+      ++line;
+      line_start = true;
+      if (!stmt.empty()) stmt += ' ';
+      continue;
+    }
+    if (line_start && !std::isspace(static_cast<unsigned char>(c))) {
+      line_start = false;
+      directive = c == '#';
+    }
+    if (directive) continue;
+    if (skip > 0) {
+      if (c == '{') ++skip;
+      if (c == '}' && --skip == 0) stmt += '}';
+      continue;
+    }
+    if (c == '(') ++paren;
+    if (c == ')' && paren > 0) --paren;
+    if (c == '{') {
+      // Braces inside parentheses are arguments (lambdas, temporaries).
+      const Brace kind =
+          paren > 0 ? Brace::kInit : classify_brace(stmt, scopes.back());
+      if (kind == Brace::kInit) {
+        skip = 1;
+        stmt += '{';
+      } else {
+        scopes.push_back(kind);
+        stmt.clear();
+        paren = 0;
+      }
+      continue;
+    }
+    if (c == '}') {
+      if (scopes.size() > 1) scopes.pop_back();
+      stmt.clear();
+      paren = 0;
+      continue;
+    }
+    static const std::regex access_re(R"(^\s*(public|private|protected)\s*$)");
+    if (c == ':' && scopes.back() == Brace::kClass &&
+        std::regex_match(stmt, access_re)) {
+      stmt.clear();  // access label: the next declaration starts after it
+      continue;
+    }
+    if (c == ';' && paren == 0) {
+      if (mutable_state_decl(stmt, scopes.back())) {
+        sink.report(stmt_line, "mutable-static",
+                    "mutable static or namespace-scope state is shared by "
+                    "every fleet worker thread; make it const/constexpr "
+                    "or move it into the object that owns it");
+      }
+      stmt.clear();
+      continue;
+    }
+    if (stmt.empty()) {
+      if (std::isspace(static_cast<unsigned char>(c))) continue;
+      stmt_line = line;
+    }
+    stmt += c;
+  }
+}
+
 // --- fpga-* resource-budget rules ------------------------------------------
 //
 // Grammar: `// fpga: lut=<N>, bram_bits=<M>, cycles=<K>` on the class
@@ -704,6 +902,7 @@ const std::vector<std::string>& rule_names() {
       "scalar-hot-path",    "header-hygiene",
       "fpga-missing-annotation", "fpga-budget-overflow",
       "fpga-timing-closure", "fpga-stale-annotation",
+      "mutable-static",
   };
   return kNames;
 }
@@ -734,6 +933,7 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view text,
   rule_naked_time_literal(ctx, sink);
   rule_scalar_hot_path(ctx, sink);
   rule_header_hygiene(ctx, sink);
+  rule_mutable_static(ctx, sink);
   rule_fpga(ctx, sink, config);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {

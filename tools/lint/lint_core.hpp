@@ -24,6 +24,11 @@
 //                         (docs/BURST_API.md).
 //   header-hygiene        headers carry #pragma once and never
 //                         `using namespace` at file scope.
+//   mutable-static        no mutable namespace-scope variables and no
+//                         mutable `static` / `thread_local` locals or
+//                         data members under src/: fleet AZs run on
+//                         concurrent worker threads that may share only
+//                         read-only state.
 //
 // Synthesis-feasibility rules (docs/STATIC_ANALYSIS.md, "Resource-budget
 // rules"): every FPGA-resident NIC module class in a src/nic header
