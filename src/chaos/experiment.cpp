@@ -9,6 +9,14 @@ namespace albatross {
 FaultPlan chaos_plan_from_json(const JsonValue& cfg, std::uint16_t gateways,
                                NanoTime horizon) {
   const JsonValue& plan_json = cfg["plan"];
+  if (!plan_json.is_object() ||
+      !(plan_json["events"].is_array() || plan_json["random"].is_object())) {
+    // A misplaced plan would otherwise run a fault-free experiment and
+    // report "0 faults injected" as if that had been asked for.
+    throw std::runtime_error(
+        "chaos config: \"plan\" must be an object with an \"events\" "
+        "array or a \"random\" object");
+  }
   if (plan_json["random"].is_object()) {
     const JsonValue& r = plan_json["random"];
     return FaultPlan::random(

@@ -44,7 +44,8 @@ struct ChaosExperimentResult {
 };
 
 /// Builds the FaultPlan described by cfg["plan"] (scripted events or a
-/// seeded-random generator). Throws std::runtime_error on bad kinds.
+/// seeded-random generator). Throws std::runtime_error on bad kinds and
+/// when "plan" is missing or has neither "events" nor "random".
 FaultPlan chaos_plan_from_json(const JsonValue& cfg, std::uint16_t gateways,
                                NanoTime horizon);
 

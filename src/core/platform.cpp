@@ -94,16 +94,14 @@ void Platform::pump(std::size_t source_idx) {
     }
   }
 
-  if (n == 1 || offline_[b.pod]) {
-    // Scalar path (also the blackhole path, where per-packet counting
-    // is all that happens anyway).
-    for (std::size_t i = 0; i < n; ++i) {
-      handle_ingress(std::move(pkts[i]), b.pod, at[i]);
-    }
-  } else if (n > 1) {
-    PodTelemetry& tel = telemetry_[b.pod];
-    tel.offered += n;
-    for (std::size_t i = 0; i < n; ++i) ++tenants_[pkts[i]->vni].offered;
+  PodTelemetry& tel = telemetry_[b.pod];
+  tel.offered += n;
+  for (std::size_t i = 0; i < n; ++i) ++tenants_[pkts[i]->vni].offered;
+  if (offline_[b.pod]) {
+    // The pod is dead but routes still point at it: the batch vanishes.
+    tel.blackholed += n;
+    for (std::size_t i = 0; i < n; ++i) ++tenants_[pkts[i]->vni].dropped_other;
+  } else {
     std::array<IngressResult, NicPipeline::kMaxIngressBurst> results;
     nic_.ingress_burst(std::span(pkts.data(), n), std::span(at.data(), n),
                        b.pod, std::span(results.data(), n));
@@ -116,21 +114,6 @@ void Platform::pump(std::size_t source_idx) {
   if (t) {
     loop_.schedule_at(*t, [this, source_idx] { pump(source_idx); });
   }
-}
-
-void Platform::handle_ingress(PacketPtr pkt, PodId pod, NanoTime now) {
-  PodTelemetry& tel = telemetry_[pod];
-  ++tel.offered;
-  TenantCounters& tc = tenants_[pkt->vni];
-  ++tc.offered;
-  if (offline_[pod]) {
-    // The pod is dead but routes still point at it: the packet vanishes.
-    ++tel.blackholed;
-    ++tc.dropped_other;
-    return;
-  }
-
-  finish_ingress(nic_.ingress(std::move(pkt), pod, now), pod);
 }
 
 void Platform::finish_ingress(IngressResult r, PodId pod) {

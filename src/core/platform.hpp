@@ -135,9 +135,7 @@ class Platform {
 
  private:
   void pump(std::size_t source_idx);
-  void handle_ingress(PacketPtr pkt, PodId pod, NanoTime now);
-  /// Common tail of scalar and burst ingress: counts the outcome and
-  /// schedules the pod delivery event.
+  /// Counts one ingress outcome and schedules the pod delivery event.
   void finish_ingress(IngressResult r, PodId pod);
   /// Order-oracle bookkeeping for one wire delivery (CPU egress AND
   /// NIC-resident tier/offload serves — recording both is what lets the

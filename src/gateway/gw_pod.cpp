@@ -203,10 +203,6 @@ std::uint64_t GwPod::core_processed(CoreId core) const {
   return cores_[core.index() % cores_.size()]->processed;
 }
 
-std::uint64_t GwPod::core_ring_drops(CoreId core) const {
-  return cores_[core.index() % cores_.size()]->ring.stats().drops;
-}
-
 void GwPod::inject_core_stall(CoreId core, NanoTime duration, NanoTime now) {
   Core& c = *cores_[core.index() % cores_.size()];
   const NanoTime until = now + duration;

@@ -82,7 +82,6 @@ class GwPod {
   /// Cumulative busy nanoseconds of a data core (utilisation oracle).
   [[nodiscard]] NanoTime core_busy_ns(CoreId core) const;
   [[nodiscard]] std::uint64_t core_processed(CoreId core) const;
-  [[nodiscard]] std::uint64_t core_ring_drops(CoreId core) const;
 
   /// Service-time distribution observed on the pod (CPU time only).
   [[nodiscard]] const LogHistogram& service_histogram() const {

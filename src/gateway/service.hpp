@@ -75,10 +75,8 @@ struct ServiceFaults {
 
 /// A burst of packets drained from one RX ring, laid out
 /// struct-of-arrays: the owning pointers sit in one lane and the
-/// per-packet metadata the service loop actually touches (affinity,
-/// service-rng stream, outcome) in separate contiguous lanes, so a
-/// stage-split service walks dense arrays instead of chasing Packet
-/// objects (docs/BURST_API.md).
+/// per-packet metadata the service loop touches (affinity, service-rng
+/// stream, outcome) in separate contiguous lanes (docs/BURST_API.md).
 struct PacketBurst {
   static constexpr std::size_t kMaxBurst = 32;
 
@@ -107,13 +105,12 @@ class Service {
   virtual ServiceOutcome process(Packet& pkt, CoreId core, bool flow_affine,
                                  NanoTime now, Rng& rng) = 0;
 
-  /// Processes `burst.count` packets, writing one outcome per lane
-  /// entry. `flow_affine` is the burst-wide hint; the per-packet lane
-  /// wins. The default implementation loops the scalar process() (with
-  /// a per-packet Rng when the seed lane is set), so services migrate
-  /// to batched implementations incrementally.
-  virtual void process_burst(PacketBurst& burst, CoreId core,
-                             bool flow_affine, NanoTime now, Rng& rng);
+  /// Processes `burst.count` packets by calling process() on each in
+  /// lane order, writing one outcome per lane entry. `flow_affine` is
+  /// the burst-wide hint, OR-ed with the per-packet lane. A non-zero
+  /// seed lane gives the packet its own Rng; zero uses `rng`.
+  void process_burst(PacketBurst& burst, CoreId core, bool flow_affine,
+                     NanoTime now, Rng& rng);
 };
 
 struct ServiceProfile {

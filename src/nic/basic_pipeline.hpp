@@ -99,7 +99,6 @@ class BasicPipeline {
                   std::optional<std::uint16_t> vlan_id);
 
   [[nodiscard]] const BasicPipelineStats& stats() const { return stats_; }
-  PayloadBuffer& payload_buffer() { return payloads_; }
 
  private:
   PayloadBuffer payloads_;

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "common/types.hpp"
 
@@ -39,16 +38,8 @@ class DmaChannel {
   /// completion time. Transfers serialise on the channel.
   NanoTime transfer(NanoTime now, std::size_t bytes);
 
-  /// Burst submission: transfers[i] of sizes[i] submitted at times[i],
-  /// completion written to out[i]. Identical to sequential transfer()
-  /// calls in index order (the channel serialises either way).
-  void transfer_burst(std::span<const NanoTime> times,
-                      std::span<const std::size_t> sizes,
-                      std::span<NanoTime> out);
-
   [[nodiscard]] const DmaStats& stats() const { return stats_; }
   [[nodiscard]] const DmaConfig& config() const { return cfg_; }
-  void set_config(const DmaConfig& cfg) { cfg_ = cfg; }
 
   /// Fault injection (chaos subsystem): transfers submitted before
   /// `until` pay `slowdown`x latency, modelling a PCIe error-retry storm
@@ -57,7 +48,6 @@ class DmaChannel {
     fault_until_ = until;
     fault_slowdown_ = slowdown > 1.0 ? slowdown : 1.0;
   }
-  [[nodiscard]] bool faulted(NanoTime now) const { return now < fault_until_; }
 
  private:
   DmaConfig cfg_;

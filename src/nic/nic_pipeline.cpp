@@ -1,6 +1,5 @@
 #include "nic/nic_pipeline.hpp"
 
-#include <array>
 #include <stdexcept>
 
 #include "common/hash.hpp"
@@ -162,161 +161,8 @@ IngressResult NicPipeline::ingress(PacketPtr pkt, PodId pod, NanoTime now) {
 void NicPipeline::ingress_burst(std::span<PacketPtr> pkts,
                                 std::span<const NanoTime> arrivals, PodId pod,
                                 std::span<IngressResult> out) {
-  const std::size_t n = pkts.size();
-  PodSlice& s = slice(pod);
-  std::array<NanoTime, kMaxIngressBurst> t;
-  std::array<DeliveryMode, kMaxIngressBurst> delivery;
-  std::array<bool, kMaxIngressBurst> live{};
-
-  // Stage 1: basic RX parse + pkt_dir classification for the burst.
-  for (std::size_t i = 0; i < n; ++i) {
-    pkts[i]->pod = pod;
-    std::optional<std::uint16_t> vlan;
-    basic_.rx_process(*pkts[i], vlan);
-    t[i] = arrivals[i] + cfg_.timings.basic_rx_ns();
-    const PktDirDecision dir = pkt_dir_.classify_annotated(pod, *pkts[i]);
-    pkts[i]->pkt_class = dir.cls;
-    delivery[i] = dir.delivery;
-    out[i].cls = dir.cls;
-    live[i] = true;
-  }
-
-  // Stage 2: gateway overload protection over the burst's data packets.
-  if (cfg_.gop_enabled) {
-    std::array<Vni, kMaxIngressBurst> vnis;
-    std::array<NanoTime, kMaxIngressBurst> times;
-    std::array<RlVerdict, kMaxIngressBurst> verdicts;
-    std::array<std::size_t, kMaxIngressBurst> idx;
-    std::size_t m = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (out[i].cls == PktClass::kPriority) continue;
-      t[i] += cfg_.timings.overload_det_rx_ns();
-      vnis[m] = pkts[i]->vni;
-      times[m] = arrivals[i];
-      idx[m] = i;
-      ++m;
-    }
-    limiter_.admit_burst(std::span(vnis.data(), m), std::span(times.data(), m),
-                         std::span(verdicts.data(), m));
-    for (std::size_t j = 0; j < m; ++j) {
-      if (verdicts[j] == RlVerdict::kDropStage2 ||
-          verdicts[j] == RlVerdict::kDropPreMeter) {
-        const std::size_t i = idx[j];
-        out[i].outcome = IngressOutcome::kDroppedRateLimit;
-        out[i].pkt = std::move(pkts[i]);
-        live[i] = false;
-      }
-    }
-  }
-
-  // Stage 3: offload fast path — hierarchical FPGA -> DPU when the
-  // tier is enabled, plain FPGA session table otherwise. Serving in
-  // index order mutates exactly the state the scalar path would, so
-  // burst results stay bit-identical to sequential ingress() calls.
-  if (s.dpu != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!live[i] || out[i].cls == PktClass::kPriority) continue;
-      if (const auto sv =
-              s.dpu->serve(pkts[i]->tuple, pkts[i]->size(), arrivals[i],
-                           t[i])) {
-        out[i].outcome = IngressOutcome::kOffloaded;
-        out[i].deliver_time = t[i] + sv->latency + cfg_.timings.basic_tx_ns();
-        out[i].pkt = std::move(pkts[i]);
-        live[i] = false;
-      }
-    }
-  } else if (s.offload != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!live[i] || out[i].cls == PktClass::kPriority) continue;
-      if (const auto fpga_ns =
-              s.offload->fast_path(pkts[i]->tuple, pkts[i]->size(),
-                                   arrivals[i])) {
-        out[i].outcome = IngressOutcome::kOffloaded;
-        out[i].deliver_time = t[i] + *fpga_ns + cfg_.timings.basic_tx_ns();
-        out[i].pkt = std::move(pkts[i]);
-        live[i] = false;
-      }
-    }
-  }
-
-  // Stage 4: queue selection — PLB spray for the burst's PLB-class
-  // packets (PSNs in arrival order), Toeplitz RSS for the rest.
-  {
-    std::array<Packet*, kMaxIngressBurst> plb_pkts;
-    std::array<NanoTime, kMaxIngressBurst> plb_times;
-    std::array<std::optional<PlbDispatchResult>, kMaxIngressBurst> plb_out;
-    std::array<std::size_t, kMaxIngressBurst> idx;
-    std::size_t m = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!live[i]) continue;
-      if (out[i].cls == PktClass::kPriority) {
-        out[i].rx_queue = kPriorityQueue;
-      } else if (out[i].cls == PktClass::kPlb && s.mode == LbMode::kPlb) {
-        t[i] += cfg_.timings.plb_rx_ns();
-        plb_pkts[m] = pkts[i].get();
-        plb_times[m] = arrivals[i];
-        idx[m] = i;
-        ++m;
-      } else {
-        out[i].rx_queue = static_cast<std::uint16_t>(
-            rss_hash(pkts[i]->tuple) % s.rx_queues);
-        pkts[i]->rx_queue = out[i].rx_queue;
-      }
-    }
-    s.plb->dispatch_burst(std::span<Packet* const>(plb_pkts.data(), m),
-                          std::span(plb_times.data(), m),
-                          std::span(plb_out.data(), m));
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t i = idx[j];
-      if (!plb_out[j]) {
-        out[i].outcome = IngressOutcome::kDroppedReorderFull;
-        out[i].pkt = std::move(pkts[i]);
-        live[i] = false;
-        continue;
-      }
-      out[i].rx_queue = plb_out[j]->rx_queue;
-    }
-  }
-
-  // Stage 5: header-payload split before the PCIe hop.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!live[i] || out[i].cls == PktClass::kPriority ||
-        delivery[i] != DeliveryMode::kHeaderOnly) {
-      continue;
-    }
-    PlbMeta meta;
-    const bool had_meta = pkts[i]->strip_plb_meta(meta);
-    if (const auto slot_id = basic_.split(*pkts[i])) {
-      meta.header_only = true;
-      meta.payload_id = *slot_id;
-    }
-    if (had_meta || meta.header_only) pkts[i]->attach_plb_meta(meta);
-  }
-
-  // Stage 6: RX DMA for the survivors, serialised on the pod channel.
-  {
-    std::array<NanoTime, kMaxIngressBurst> times;
-    std::array<std::size_t, kMaxIngressBurst> sizes;
-    std::array<NanoTime, kMaxIngressBurst> done;
-    std::array<std::size_t, kMaxIngressBurst> idx;
-    std::size_t m = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!live[i]) continue;
-      times[m] = t[i];
-      sizes[m] = pkts[i]->size();
-      idx[m] = i;
-      ++m;
-    }
-    s.dma_rx.transfer_burst(std::span(times.data(), m),
-                            std::span(sizes.data(), m),
-                            std::span(done.data(), m));
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t i = idx[j];
-      out[i].deliver_time = done[j];
-      pkts[i]->nic_ingress_done = done[j];
-      out[i].outcome = IngressOutcome::kDelivered;
-      out[i].pkt = std::move(pkts[i]);
-    }
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    out[i] = ingress(std::move(pkts[i]), pod, arrivals[i]);
   }
 }
 
@@ -332,13 +178,6 @@ EgressEmission NicPipeline::finish_tx(PacketPtr pkt, NanoTime now,
   e.in_order = in_order;
   e.pkt = std::move(pkt);
   return e;
-}
-
-std::vector<EgressEmission> NicPipeline::egress(PacketPtr pkt, PodId pod,
-                                                NanoTime now) {
-  std::vector<EgressEmission> out;
-  egress_into(std::move(pkt), pod, now, out);
-  return out;
 }
 
 void NicPipeline::egress_into(PacketPtr pkt, PodId pod, NanoTime now,
@@ -372,13 +211,6 @@ void NicPipeline::egress_into(PacketPtr pkt, PodId pod, NanoTime now,
   }
 }
 
-std::vector<EgressEmission> NicPipeline::drain_expired(PodId pod,
-                                                       NanoTime now) {
-  std::vector<EgressEmission> out;
-  drain_expired_into(pod, now, out);
-  return out;
-}
-
 void NicPipeline::drain_expired_into(PodId pod, NanoTime now,
                                      std::vector<EgressEmission>& out) {
   PodSlice& s = slice(pod);
@@ -391,7 +223,6 @@ void NicPipeline::drain_expired_into(PodId pod, NanoTime now,
     }
   }
 }
-
 
 std::optional<NanoTime> NicPipeline::next_reorder_deadline(PodId pod) const {
   if (pod >= pods_.size() || pods_[pod].plb == nullptr) return std::nullopt;

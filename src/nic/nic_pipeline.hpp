@@ -113,9 +113,9 @@ class NicPipeline {
   SessionOffload& session_offload(PodId pod);
 
   /// Enables the DPU co-offload tier for a pod (docs/DPU_TIER.md):
-  /// ingress stage 3 then consults FPGA -> DPU -> miss instead of the
-  /// FPGA table alone. Enables the FPGA session offload with cfg.fpga
-  /// when the pod doesn't have it yet.
+  /// the ingress offload fast path then consults FPGA -> DPU -> miss
+  /// instead of the FPGA table alone. Enables the FPGA session offload
+  /// with cfg.fpga when the pod doesn't have it yet.
   void enable_dpu_tier(PodId pod, DpuTierConfig cfg = {});
   [[nodiscard]] bool dpu_tier_enabled(PodId pod) const;
   DpuTier& dpu_tier(PodId pod);
@@ -128,13 +128,9 @@ class NicPipeline {
   /// Largest burst ingress_burst() accepts per call.
   static constexpr std::size_t kMaxIngressBurst = 32;
 
-  /// Burst ingress: runs pkts[i] (arriving at arrivals[i]) through the
-  /// pipeline stage by stage — parse/classify, GOP admit, offload fast
-  /// path, dispatch, split, RX DMA — each stage walking the whole burst
-  /// before the next starts, the way the FPGA modules overlap packets.
-  /// Results are positional and bit-identical to sequential ingress()
-  /// calls in index order (stages touch disjoint state). Arrival times
-  /// must be non-decreasing; at most kMaxIngressBurst packets.
+  /// Burst ingress: ingress(pkts[i], pod, arrivals[i]) in index order,
+  /// results written positionally into `out`. Arrival times must be
+  /// non-decreasing; at most kMaxIngressBurst packets.
   void ingress_burst(std::span<PacketPtr> pkts,
                      std::span<const NanoTime> arrivals, PodId pod,
                      std::span<IngressResult> out);
@@ -144,16 +140,12 @@ class NicPipeline {
   NanoTime tx_submit(PodId pod, NanoTime now, std::size_t bytes);
 
   /// Egress processing at the FPGA: reorder write-back for PLB packets,
-  /// straight-through for RSS/priority. Emissions carry wire times.
-  std::vector<EgressEmission> egress(PacketPtr pkt, PodId pod, NanoTime now);
-  /// Allocation-free variant for the per-packet hot path: appends to a
-  /// caller-owned (typically reused) vector instead of returning one.
+  /// straight-through for RSS/priority. Emissions carry wire times and
+  /// are appended to a caller-owned (typically reused) vector.
   void egress_into(PacketPtr pkt, PodId pod, NanoTime now,
                    std::vector<EgressEmission>& out);
 
-  /// Timeout-driven reorder drain for a pod.
-  std::vector<EgressEmission> drain_expired(PodId pod, NanoTime now);
-  /// Allocation-free variant of drain_expired (see egress_into).
+  /// Timeout-driven reorder drain for a pod; appends like egress_into.
   void drain_expired_into(PodId pod, NanoTime now,
                           std::vector<EgressEmission>& out);
   [[nodiscard]] std::optional<NanoTime> next_reorder_deadline(PodId pod) const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "packet/headers.hpp"
+
 namespace albatross {
 
 void PktDir::configure_pod(PodId pod, PktDirConfig cfg) {
@@ -34,12 +36,6 @@ PktDirDecision PktDir::decide(const PktDirConfig& cfg, bool is_protocol,
                    ? DeliveryMode::kHeaderOnly
                    : DeliveryMode::kWholePacket;
   return d;
-}
-
-PktDirDecision PktDir::classify(PodId pod, const Packet& pkt,
-                                const ParsedPacket& parsed) {
-  return decide(pod_config(pod), parsed.is_protocol_packet(),
-                parsed.flow_tuple(), pkt.size());
 }
 
 PktDirDecision PktDir::classify_annotated(PodId pod, const Packet& pkt) {

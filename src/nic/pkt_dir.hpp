@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "packet/packet.hpp"
-#include "packet/parser.hpp"
 #include "tables/cuckoo_table.hpp"
 
 namespace albatross {
@@ -58,12 +57,8 @@ class PktDir {
   void configure_pod(PodId pod, PktDirConfig cfg);
   [[nodiscard]] const PktDirConfig& pod_config(PodId pod) const;
 
-  /// Classifies a parsed packet for its pod.
-  PktDirDecision classify(PodId pod, const Packet& pkt,
-                          const ParsedPacket& parsed);
-
-  /// Classification on annotated metadata only (fast path for synthetic
-  /// frames: protocol packets always carry real headers).
+  /// Classifies a packet for its pod from its annotated metadata (the
+  /// basic pipeline's parse has filled in the tuple).
   PktDirDecision classify_annotated(PodId pod, const Packet& pkt);
 
   [[nodiscard]] const PktDirStats& stats() const { return stats_; }

@@ -87,7 +87,6 @@ class ReorderQueue {
   void inject_stall(NanoTime until) {
     if (until > stuck_until_) stuck_until_ = until;
   }
-  [[nodiscard]] bool stalled(NanoTime now) const { return now < stuck_until_; }
 
   [[nodiscard]] std::uint32_t in_flight() const { return tail_ - head_; }
   [[nodiscard]] std::uint32_t capacity() const { return entries_; }

@@ -146,14 +146,6 @@ RlVerdict TenantRateLimiter::admit(Vni vni, NanoTime now) {
   return RlVerdict::kDropStage2;
 }
 
-void TenantRateLimiter::admit_burst(std::span<const Vni> vnis,
-                                    std::span<const NanoTime> times,
-                                    std::span<RlVerdict> out) {
-  for (std::size_t i = 0; i < vnis.size(); ++i) {
-    out[i] = admit(vnis[i], times[i]);
-  }
-}
-
 std::size_t TenantRateLimiter::sram_bytes() const {
   return (color_table_.size() + meter_table_.size() + 2 * kPreEntries) *
          kMeterEntryBytes;

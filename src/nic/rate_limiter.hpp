@@ -26,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "check/hooks.hpp"
@@ -76,13 +75,6 @@ class TenantRateLimiter {
 
   /// Applies the limiter to one packet of tenant `vni` at time `now`.
   RlVerdict admit(Vni vni, NanoTime now);
-
-  /// Burst admit: one verdict per (vni, time) pair, written positionally
-  /// into `out`. Equivalent to calling admit() in index order — bucket
-  /// state advances packet by packet — but lets the ingress pipeline
-  /// keep the meter tables hot across a whole RX batch.
-  void admit_burst(std::span<const Vni> vnis, std::span<const NanoTime> times,
-                   std::span<RlVerdict> out);
 
   /// Configures a top-tier tenant to bypass all rate limiting.
   bool add_bypass(Vni vni);

@@ -65,10 +65,6 @@ class CacheModel {
   NumaTopology& numa() { return numa_; }
   [[nodiscard]] const NumaTopology& numa() const { return numa_; }
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
-  void set_config(const CacheConfig& cfg) {
-    cfg_ = cfg;
-    recompute_hit_rate();
-  }
 
  private:
   void recompute_hit_rate();

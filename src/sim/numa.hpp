@@ -73,7 +73,6 @@ class NumaBalancer {
 
   [[nodiscard]] std::uint64_t stalls() const { return stalls_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
-  void set_enabled(bool on) { cfg_.enabled = on; }
 
  private:
   Config cfg_;

@@ -16,30 +16,11 @@ PushResult PacketRing::push(PacketPtr pkt) {
   return PushResult::kOk;
 }
 
-PacketPtr PacketRing::pop() {
-  if (size_ == 0) return nullptr;
-  PacketPtr p = std::move(slots_[head_]);
-  head_ = wrap(head_ + 1);
-  --size_;
-  ++stats_.dequeued;
-  return p;
-}
-
 std::size_t PacketRing::push_burst(std::span<PacketPtr> pkts) {
-  const std::size_t used = size_ + held_;
-  const std::size_t room = used < capacity_ ? capacity_ - used : 0;
-  const std::size_t n = pkts.size() < room ? pkts.size() : room;
-  std::size_t tail = wrap(head_ + size_);
-  for (std::size_t i = 0; i < n; ++i) {
-    slots_[tail] = std::move(pkts[i]);
-    tail = wrap(tail + 1);
-  }
-  size_ += n;
-  stats_.enqueued += n;
+  std::size_t n = 0;
+  // Checking full() first keeps rejected packets with the caller.
+  while (n < pkts.size() && !full()) (void)push(std::move(pkts[n++]));
   stats_.drops += pkts.size() - n;
-  if (size_ + held_ > stats_.high_watermark) {
-    stats_.high_watermark = size_ + held_;
-  }
   return n;
 }
 

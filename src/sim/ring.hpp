@@ -7,9 +7,8 @@
 // Storage is a flat circular buffer (power-of-two independent; head
 // index + size, modulo capacity) so burst drains touch one contiguous
 // or at most two contiguous slot runs — the same layout as a hardware
-// descriptor ring. The scalar push/pop entry points are thin wrappers
-// over the same slots so cold callers (chaos hooks, BGP) share the
-// accounting with the burst hot path.
+// descriptor ring. push() is the one enqueue path (push_burst loops
+// it); pop_burst() is the one dequeue path.
 #pragma once
 
 #include <cstdint>
@@ -20,11 +19,12 @@
 
 namespace albatross {
 
-/// Outcome of a ring enqueue; call sites must handle kFull explicitly
-/// (ownership of the packet stays with the caller on kFull).
+/// Outcome of a ring enqueue; call sites must handle kFull explicitly.
+/// push() takes the packet by value, so on kFull the packet is already
+/// freed: a caller that needs its identity reads it before pushing.
 enum class PushResult : std::uint8_t {
-  kOk,    ///< packet accepted, ownership transferred
-  kFull,  ///< tail drop counted; caller still owns the packet
+  kOk,    ///< packet accepted, ownership transferred to the ring
+  kFull,  ///< tail drop counted; the packet was freed inside push()
 };
 
 struct RingStats {
@@ -43,14 +43,12 @@ class PacketRing {
         inv_capacity_(capacity == 0 ? 0.0 : 1.0 / static_cast<double>(capacity)),
         slots_(capacity) {}
 
-  /// kFull (and a counted drop) when the ring is full. Ownership of the
-  /// packet transfers only on kOk.
+  /// kFull (and a counted drop) when the ring is full. The ring owns the
+  /// packet on kOk; on kFull it is freed when push() returns.
   PushResult push(PacketPtr pkt);
 
-  /// Null when empty.
-  PacketPtr pop();
-
-  /// Enqueues packets from `pkts` in order until the ring fills.
+  /// Enqueues packets from `pkts` in order, through push(), until the
+  /// ring fills.
   /// Returns the number accepted; accepted slots in `pkts` are nulled.
   /// Rejected packets (the span tail) remain owned by the caller and
   /// are each counted as a drop.
@@ -65,7 +63,7 @@ class PacketRing {
   /// burst still occupy their RX descriptors until the core actually
   /// starts servicing them (DPDK recycles the mbuf after processing,
   /// not at rx_burst). Holding keeps occupancy — and therefore tail
-  /// drops — identical between burst and scalar drains.
+  /// drops — independent of the drain burst size.
   void hold(std::size_t n) { held_ += n; }
   void release_hold(std::size_t n) { held_ -= n < held_ ? n : held_; }
   [[nodiscard]] std::size_t held() const { return held_; }

@@ -315,6 +315,13 @@ TEST(ChaosExperiment, BadJsonAndBadKindThrow) {
   EXPECT_THROW(run_chaos_experiment_from_json(
                    R"({"plan":{"events":[{"kind":"solar_flare"}]}})"),
                std::runtime_error);
+  // Events outside a "plan" object, and a plan with neither events nor
+  // random, would otherwise run a fault-free experiment.
+  EXPECT_THROW(run_chaos_experiment_from_json(
+                   R"({"events":[{"at_ms":1,"kind":"pod_crash"}]})"),
+               std::runtime_error);
+  EXPECT_THROW(run_chaos_experiment_from_json(R"({"plan":{"name":"x"}})"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -123,7 +123,8 @@ TEST(NicPipeline, DrainExpiredReleasesStrandedEntries) {
   ASSERT_TRUE(nic.next_reorder_deadline(0).has_value());
   // The packet vanishes on the CPU (never written back). After the
   // deadline the drain releases the head with no emission.
-  const auto out = nic.drain_expired(0, 200 * kMicrosecond);
+  std::vector<EgressEmission> out;
+  nic.drain_expired_into(0, 200 * kMicrosecond, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(nic.engine(0).total_stats().timeout_releases, 1u);
   EXPECT_FALSE(nic.next_reorder_deadline(0).has_value());

@@ -132,55 +132,6 @@ TEST(Lint, TimeLiteralAllowedInUnitsHeader) {
   EXPECT_TRUE(f.empty());
 }
 
-TEST(Lint, ScalarHotPathPopLoopFires) {
-  // Both drain-loop shapes: pop in the loop condition and pop in a
-  // short loop body.
-  const std::string bad =
-      "void drain(Ring& ring) {\n"
-      "  while (!ring.empty()) {\n"
-      "    auto pkt = ring.pop();\n"
-      "    handle(std::move(pkt));\n"
-      "  }\n"
-      "}\n";
-  const auto f = lint_source("src/nic/plb_dispatch.cpp", bad);
-  ASSERT_TRUE(fired(f, "scalar-hot-path"));
-  EXPECT_EQ(f[0].line, 3);
-  const auto cond = lint_source(
-      "src/gateway/gw_pod.cpp",
-      "void drain(Ring& ring) {\n"
-      "  PacketPtr pkt;\n"
-      "  while ((pkt = ring.pop()) != nullptr) handle(std::move(pkt));\n"
-      "}\n");
-  EXPECT_TRUE(fired(cond, "scalar-hot-path"));
-}
-
-TEST(Lint, ScalarHotPathScopedAndBurstClean) {
-  const std::string bad =
-      "void drain(Ring& ring) {\n"
-      "  while (!ring.empty()) {\n"
-      "    auto pkt = ring.pop();\n"
-      "  }\n"
-      "}\n";
-  // Outside the hot-path scope (sim/, check/, tests) scalar drains are
-  // legal — the ring's own implementation pops one at a time.
-  EXPECT_TRUE(lint_source("src/sim/ring.cpp", bad).empty());
-  // A lone pop outside any loop (cold hook) is fine even in scope.
-  EXPECT_TRUE(lint_source("src/nic/nic_pipeline.cpp",
-                          "void take_one(Ring& ring) {\n"
-                          "  auto pkt = ring.pop();\n"
-                          "  handle(std::move(pkt));\n"
-                          "}\n")
-                  .empty());
-  // The burst drain is the sanctioned shape.
-  EXPECT_TRUE(lint_source("src/gateway/gw_pod.cpp",
-                          "void drain(Ring& ring, Burst& b) {\n"
-                          "  const std::size_t n =\n"
-                          "      ring.pop_burst(std::span(b.pkts));\n"
-                          "  for (std::size_t i = 0; i < n; ++i) use(b, i);\n"
-                          "}\n")
-                  .empty());
-}
-
 TEST(Lint, HeaderHygieneFires) {
   const auto f = lint_source("src/nic/bad.hpp",
                              "#include <string>\n"
@@ -317,8 +268,8 @@ TEST(Lint, MutableStaticScopedToSrcAndSuppressible) {
 
 TEST(Lint, RuleNamesStable) {
   const auto& names = rule_names();
-  EXPECT_EQ(names.size(), 11u);
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "scalar-hot-path") !=
+  EXPECT_EQ(names.size(), 10u);
+  EXPECT_TRUE(std::find(names.begin(), names.end(), "header-hygiene") !=
               names.end());
   EXPECT_TRUE(std::find(names.begin(), names.end(), "wall-clock") !=
               names.end());

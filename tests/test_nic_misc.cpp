@@ -299,7 +299,8 @@ TEST(NicPipeline, EgressRoundTripInOrder) {
   ASSERT_EQ(r.outcome, IngressOutcome::kDelivered);
   const NanoTime at_fpga = nic.tx_submit(0, r.deliver_time + NanoTime{700},
                                          r.pkt->size());
-  auto emissions = nic.egress(std::move(r.pkt), 0, at_fpga);
+  std::vector<EgressEmission> emissions;
+  nic.egress_into(std::move(r.pkt), 0, at_fpga, emissions);
   ASSERT_EQ(emissions.size(), 1u);
   EXPECT_TRUE(emissions[0].in_order);
   EXPECT_GT(emissions[0].wire_time, at_fpga);

@@ -3,6 +3,9 @@
 // reorder -> wire, with telemetry and the per-flow order oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/platform.hpp"
 #include "core/scenario.hpp"
 #include "traffic/heavy_hitter.hpp"
@@ -207,6 +210,64 @@ TEST(Platform, CoreCapacityClosedForm) {
       core_capacity_mpps(ServiceKind::kVpcInternet, cache, false) /
       core_capacity_mpps(ServiceKind::kVpcVpc, cache, false);
   EXPECT_NEAR(ratio, 0.634, 0.08);
+}
+
+TEST(Platform, OfflinePodCountsAtAnyIngressBatch) {
+  // A pod taken offline mid-run blackholes its arrivals; the pump counts
+  // a whole batch at once. What is offered must not depend on how many
+  // arrivals one activation draws, and the per-tenant drops must add up
+  // to the pod's blackhole count. Which arrivals a switch catches can
+  // differ: a batch drawn just before a switch runs up to
+  // kMaxIngressBurst - 1 later arrivals with the pod's state at the
+  // batch head.
+  struct Counts {
+    PodTelemetry pod;
+    std::vector<TenantCounters> tenants;
+  };
+  const auto run = [](std::size_t ingress_batch) {
+    PlatformConfig pc;
+    pc.tenants = 200;
+    pc.routes = 20'000;
+    pc.tables_data_cores = 4;
+    pc.ingress_batch = ingress_batch;
+    Platform platform(pc);
+    GwPodConfig gp;
+    gp.data_cores = 4;
+    const PodId pod = platform.create_pod(gp);
+    platform.attach_source(background(2e6), pod);  // tenants 1..50
+    platform.run_until(5 * kMillisecond);
+    platform.set_pod_offline(pod, true);
+    platform.run_until(10 * kMillisecond);
+    platform.set_pod_offline(pod, false);
+    platform.run_until(15 * kMillisecond);
+    Counts c{platform.telemetry(pod), {}};
+    for (Vni vni = 1; vni <= 50; ++vni) {
+      c.tenants.push_back(platform.tenant(vni));
+    }
+    return c;
+  };
+  const Counts scalar = run(1);
+  const Counts batched = run(32);
+  for (const Counts* c : {&scalar, &batched}) {
+    EXPECT_GT(c->pod.blackholed, 5'000u);
+    EXPECT_EQ(c->pod.dropped_reorder_full, 0u);
+    std::uint64_t offered = 0;
+    std::uint64_t dropped_other = 0;
+    for (const TenantCounters& t : c->tenants) {
+      offered += t.offered;
+      dropped_other += t.dropped_other;
+    }
+    EXPECT_EQ(offered, c->pod.offered);
+    EXPECT_EQ(dropped_other, c->pod.blackholed);
+  }
+  EXPECT_EQ(scalar.pod.offered, batched.pod.offered);
+  for (std::size_t i = 0; i < scalar.tenants.size(); ++i) {
+    EXPECT_EQ(scalar.tenants[i].offered, batched.tenants[i].offered) << i;
+  }
+  const std::uint64_t reach = 2 * (NicPipeline::kMaxIngressBurst - 1);
+  const auto [lo, hi] =
+      std::minmax(scalar.pod.blackholed, batched.pod.blackholed);
+  EXPECT_LE(hi - lo, reach);
 }
 
 TEST(Platform, ResetTelemetryClearsCounters) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -120,9 +121,8 @@ TEST(PacketRingBurst, HoldCreditsKeepOccupancyAndCauseTailDrops) {
 }
 
 TEST(PacketRingBurst, ScalarAndBurstAccountingMatch) {
-  // Same offered sequence, scalar push/pop vs burst push/pop: final
-  // RingStats must be identical — the scalar entry points are wrappers
-  // over the same slots, not a parallel implementation.
+  // Same offered sequence, one-at-a-time push/pop vs burst push/pop:
+  // final RingStats must be identical, whatever the span sizes.
   const std::size_t kCap = 8;
   const std::size_t kOffer = 13;  // 5 drops
 
@@ -131,7 +131,8 @@ TEST(PacketRingBurst, ScalarAndBurstAccountingMatch) {
     (void)scalar.push(pkt(i));
   }
   std::size_t scalar_popped = 0;
-  while (scalar.pop() != nullptr) ++scalar_popped;
+  std::array<PacketPtr, 1> one;
+  while (scalar.pop_burst(one) == 1) ++scalar_popped;
 
   PacketRing burst(kCap);
   auto in = burst_of(0, kOffer);

@@ -1,6 +1,8 @@
 // Discrete-event engine, descriptor rings, NUMA and cache-model tests.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "sim/cache_model.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/numa.hpp"
@@ -78,9 +80,10 @@ TEST(PacketRing, DropsWhenFullAndCountsWatermark) {
   EXPECT_EQ(ring.stats().drops, 1u);
   EXPECT_EQ(ring.stats().high_watermark, 2u);
   EXPECT_DOUBLE_EQ(ring.occupancy(), 1.0);
-  EXPECT_NE(ring.pop(), nullptr);
-  EXPECT_NE(ring.pop(), nullptr);
-  EXPECT_EQ(ring.pop(), nullptr);
+  std::array<PacketPtr, 3> out;
+  EXPECT_EQ(ring.pop_burst(out), 2u);
+  EXPECT_NE(out[1], nullptr);
+  EXPECT_EQ(out[2], nullptr);
   EXPECT_EQ(ring.stats().dequeued, 2u);
 }
 

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <fstream>
@@ -246,14 +247,16 @@ int run_fuzz(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = static_cast<std::uint64_t>(
+          int_flag(a, next(), 0, std::numeric_limits<long long>::max()));
     } else if (a == "--seeds") {
-      seeds = std::strtoull(next(), nullptr, 10);
+      seeds = static_cast<std::uint64_t>(int_flag(a, next(), 1, 1'000'000));
     } else if (a == "--ticks") {
-      ticks = std::strtoull(next(), nullptr, 10);
+      ticks = static_cast<std::uint64_t>(int_flag(a, next(), 1, 1'000'000));
     } else if (a == "--burst") {
-      rx_burst = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::strtoull(next(), nullptr, 10)));
+      rx_burst = static_cast<std::size_t>(
+          int_flag(a, next(), 1,
+                   static_cast<long long>(PacketBurst::kMaxBurst)));
     } else if (a == "--tier") {
       with_tier = true;
     } else if (a == "--chaos") {

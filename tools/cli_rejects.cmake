@@ -1,9 +1,18 @@
-# Runs `SIM FLAG VALUE` and passes only when albatross_sim exits with a
-# non-zero status and an `error: FLAG ...` message on stderr. A crash
-# (signal), a zero exit or a message that does not name the flag fails.
+# Runs `SIM [SUBCOMMAND] FLAG VALUE` and passes only when albatross_sim
+# exits with a non-zero status and an `error: FLAG VALUE:` message on
+# stderr. A crash (signal), a zero exit or a message that does not name
+# the flag fails. Without SUBCOMMAND the single-pod run gets
+# `--duration-ms 1` so an accepted value would finish at once.
 #
 #   cmake -DSIM=<albatross_sim> -DFLAG=--cores -DVALUE=0 -P cli_rejects.cmake
-execute_process(COMMAND ${SIM} ${FLAG} ${VALUE} --duration-ms 1
+#   cmake -DSIM=<albatross_sim> -DSUBCOMMAND=fuzz -DFLAG=--seeds -DVALUE=0 \
+#         -P cli_rejects.cmake
+if(SUBCOMMAND)
+  set(cmd ${SIM} ${SUBCOMMAND} ${FLAG} ${VALUE})
+else()
+  set(cmd ${SIM} ${FLAG} ${VALUE} --duration-ms 1)
+endif()
+execute_process(COMMAND ${cmd}
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)

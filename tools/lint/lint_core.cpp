@@ -310,38 +310,6 @@ void rule_naked_time_literal(const RuleContext& ctx, Sink& sink) {
   }
 }
 
-// --- scalar-hot-path -------------------------------------------------------
-
-bool in_hot_path_scope(std::string_view path) {
-  return contains(path, "nic/") || contains(path, "gateway/");
-}
-
-void rule_scalar_hot_path(const RuleContext& ctx, Sink& sink) {
-  // One-at-a-time ring drains in the packet hot path: a `.pop()` inside
-  // a loop in src/nic or src/gateway defeats the burst API (pop_burst /
-  // process_burst, docs/BURST_API.md) that the throughput numbers come
-  // from. Scalar pops OUTSIDE loops (cold hooks, protocol paths) are
-  // fine — only the drain-loop shape is flagged.
-  if (!in_hot_path_scope(ctx.path)) return;
-  static const std::regex pop_re(R"(\.pop\s*\(\s*\))");
-  static const std::regex loop_re(R"(\b(while|for)\s*\()");
-  for (std::size_t i = 0; i < ctx.code.size(); ++i) {
-    if (!std::regex_search(ctx.code[i], pop_re)) continue;
-    // In-loop heuristic: the loop header is on this line (condition
-    // pops) or within the preceding few lines (short drain bodies).
-    const std::size_t lookback = i >= 3 ? i - 3 : 0;
-    for (std::size_t j = lookback; j <= i; ++j) {
-      if (std::regex_search(ctx.code[j], loop_re)) {
-        sink.report(static_cast<int>(i + 1), "scalar-hot-path",
-                    "one-at-a-time ring pop in a hot-path loop; drain "
-                    "with pop_burst into a burst instead "
-                    "(docs/BURST_API.md)");
-        break;
-      }
-    }
-  }
-}
-
 // --- header-hygiene --------------------------------------------------------
 
 void rule_header_hygiene(const RuleContext& ctx, Sink& sink) {
@@ -899,7 +867,7 @@ const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kNames = {
       "wall-clock",         "nondeterministic-rng",
       "unordered-iteration", "naked-time-literal",
-      "scalar-hot-path",    "header-hygiene",
+      "header-hygiene",
       "fpga-missing-annotation", "fpga-budget-overflow",
       "fpga-timing-closure", "fpga-stale-annotation",
       "mutable-static",
@@ -931,7 +899,6 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view text,
   rule_rng(ctx, sink);
   rule_unordered_iteration(ctx, sink);
   rule_naked_time_literal(ctx, sink);
-  rule_scalar_hot_path(ctx, sink);
   rule_header_hygiene(ctx, sink);
   rule_mutable_static(ctx, sink);
   rule_fpga(ctx, sink, config);

@@ -18,10 +18,6 @@
 //                         time expressions outside common/types.hpp and
 //                         common/units.hpp — use _us/_ms literals,
 //                         kMicrosecond/kSecond, or the named converters.
-//   scalar-hot-path       no one-at-a-time ring `.pop()` loops in
-//                         src/nic or src/gateway — the hot path drains
-//                         through pop_burst / process_burst
-//                         (docs/BURST_API.md).
 //   header-hygiene        headers carry #pragma once and never
 //                         `using namespace` at file scope.
 //   mutable-static        no mutable namespace-scope variables and no
